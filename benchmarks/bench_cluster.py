@@ -40,6 +40,10 @@ gates on the **survivability contract**:
   known);
 * bounded p99 — the kill storm may cost restarts, not unbounded tail
   latency (``CHAOS_MAX_P99_S``);
+* proportionate recovery — one SIGKILL costs one respawn:
+  ``worker_restarts`` may not exceed the kills actually injected, plus, in
+  the full run, one per injected frame fault (a lost frame times out and
+  takes the crash path);
 * complete spans — every completed request resolves to a server-side span
   with the full queue_wait/batch/wire/execute stage chain, and no
   run_trace-issued trace id is orphaned (ISSUE 8: telemetry must survive the
@@ -561,18 +565,29 @@ def run_chaos(model, checkpoint_path) -> int:
         ),
     }
 
+    kills_injected = sum(1 for event in plan.events if event["kind"] == "kill")
+    frame_faults = plan.frame_faults
+    frame_faults_injected = (
+        0 if frame_faults is None else frame_faults.dropped_send + frame_faults.dropped_recv
+    )
+    max_restarts = kills_injected + frame_faults_injected
     contract = {
         "lost_requests": len(lost),
         "bitwise_checked": checker.checked,
         "bitwise_mismatched": checker.mismatched,
         "p99_s": round(p99_s, 4),
         "max_p99_s": CHAOS_MAX_P99_S,
+        "worker_restarts": restarts,
+        "kills_injected": kills_injected,
+        "frame_faults_injected": frame_faults_injected,
+        "max_worker_restarts": max_restarts,
         "span_completeness": span_check,
         "slo": slo_check,
         "passed": (
             not lost
             and checker.mismatched == 0
             and p99_s <= CHAOS_MAX_P99_S
+            and restarts <= max_restarts
             and span_check["passed"]
             and slo_check["passed"]
         ),
@@ -630,7 +645,9 @@ def run_chaos(model, checkpoint_path) -> int:
     )
     print(
         f"bitwise: {checker.mismatched}/{checker.checked} mismatched   "
-        f"p99 {p99_s:.3f}s (bound {CHAOS_MAX_P99_S}s)"
+        f"p99 {p99_s:.3f}s (bound {CHAOS_MAX_P99_S}s)   "
+        f"restarts {restarts} (bound {max_restarts}: {kills_injected} kills + "
+        f"{frame_faults_injected} frame faults)"
     )
     print(
         f"spans: {span_check['spans_recorded']} recorded, "
@@ -658,6 +675,7 @@ def run_chaos(model, checkpoint_path) -> int:
             f"(lost={len(lost)}, bitwise_mismatched={checker.mismatched}, "
             f"p99={p99_s:.3f}s > {CHAOS_MAX_P99_S}s allowed "
             f"= {p99_s > CHAOS_MAX_P99_S}, "
+            f"restarts={restarts} > {max_restarts} allowed = {restarts > max_restarts}, "
             f"span_completeness={span_check['passed']}, "
             f"slo={slo_check['passed']})",
             file=sys.stderr,

@@ -6,7 +6,7 @@ of mixed-precision PACT-quantized inference that the paper's whole premise
 rests on.  Three independent probes, composable through :class:`ModelHealth`:
 
 * :class:`QuantHealthTap` — per-layer activation statistics read inside the
-  plan's tapped mirror loop (see :meth:`InferencePlan.set_health_tap`):
+  plan's instrumented loop (see :meth:`InferencePlan.set_health_tap`):
   PACT clip/saturation ratio against each layer's learned alpha, zero
   fraction, activation-range occupancy, and the integer-accumulator headroom
   a 32-bit deployment accumulator would have left.  The tap only *reads*
@@ -73,7 +73,7 @@ class _LayerStats:
 
 
 class QuantHealthTap:
-    """Per-layer quantization health read from a plan's tapped mirror loop.
+    """Per-layer quantization health read from a plan's instrumented loop.
 
     Attach with :meth:`InferenceEngine.enable_health_tap` (or directly via
     :meth:`InferencePlan.set_health_tap`).  The plan calls :meth:`begin_run`
@@ -102,7 +102,7 @@ class QuantHealthTap:
         # row sums once per tap lifetime is the right cost.
         self._acc_bounds: Dict[str, float] = {}
 
-    # -- called from the plan's mirror loop (engine-serialised) ---------- #
+    # -- called from the plan's instrumented loop (engine-serialised) ---- #
     def begin_run(self) -> bool:
         """Advance the run counter; True when this run should be observed."""
         with self._lock:

@@ -29,6 +29,14 @@ booted from versioned quantized checkpoints, speaks a length-prefixed
 binary wire protocol to them (and to external TCP clients via
 :class:`TcpFrontend`/:class:`ClusterClient`), restarts crashed workers, and
 lets an :class:`Autoscaler` move per-variant shard counts with load.
+
+Both servers are thin layers over one request lifecycle,
+:class:`~repro.serve.frontend.core.ServingCore`: validation, admission,
+shedding, batching, deadlines, spans and metrics are written once.  The
+one step that differs, executing a stacked batch, sits behind the core's
+executor seam: ``engine.predict_logits`` in-process for
+:class:`ModelServer`, a round trip to a worker process for
+:class:`ClusterServer`.
 """
 
 from .cluster import (

@@ -15,23 +15,27 @@ Topology, per variant::
                           ├── shard 1: RequestQueue -> DynamicBatcher -> dispatcher thread ══socketpair══ worker process 1
                           └── ...
 
-The proven frontend pieces are *reused*, not re-implemented: every shard has
-its own bounded :class:`~repro.serve.frontend.queuing.RequestQueue`
-(admission control + backpressure) and
-:class:`~repro.serve.frontend.batcher.DynamicBatcher` (micro-batch policy),
-and records into its own :class:`~repro.serve.frontend.metrics.ServerMetrics`
-— the cluster view is :meth:`ServerMetrics.merged` over the shards.
+Both servers are thin layers over one request lifecycle,
+:class:`~repro.serve.frontend.core.ServingCore`; each shard is one of its
+lanes.  The router plugs in the cluster executor (one round trip to the
+shard's worker, whose reply carries the worker's own engine time, so spans
+split the call into ``wire`` and ``execute``) and layers shard picking,
+circuit breakers, restarts, scaling and the health monitor on top.
 
 Failure containment:
 
 * **Per-request failures** (bad shape, worker-side exception) come back as
   typed ERROR frames and fail only the affected futures.
-* **A crashed worker** fails only the requests *in flight on its wire* with
-  :class:`~repro.serve.cluster.protocol.WorkerCrashed`; everything still in
-  its queue survives, and the shard's dispatcher respawns the worker from
-  the same checkpoint (bounded by ``max_restarts``) while the other shards
-  keep serving.  A health monitor notices workers that die while idle, so
-  restart does not wait for the next request to trip over the corpse.
+* **A crashed worker** (the executor raises
+  :class:`~repro.serve.frontend.core.ExecutorLost`) fails only the requests
+  *in flight on its wire* with
+  :class:`~repro.serve.cluster.protocol.WorkerCrashed`, or re-dispatches
+  them within ``max_request_retries``; everything still in its queue
+  survives, and the shard's dispatcher respawns the worker from the same
+  checkpoint (bounded by ``max_restarts``) while the other shards keep
+  serving.  A health monitor notices workers that die while idle.  Only the
+  dispatcher restarts, and only for a handle that is current and dead: one
+  death costs one respawn.
 * **Scale-down** retires a shard gracefully: it stops receiving new
   requests, drains its queue, then shuts the worker down.
 """
@@ -40,27 +44,26 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ...backend import get_backend
-from ...obs import EventLog, SpanRecorder, TraceContext
 from ...obs.health import DriftDetector, ModelHealth, ShadowExecutor
-from ..frontend.batcher import DynamicBatcher
-from ..frontend.metrics import ServerMetrics
-from ..frontend.queuing import (
-    DeadlineExceeded,
-    Request,
-    RequestQueue,
-    ServerClosed,
-    ServerOverloaded,
+from ..frontend.core import (
+    REQUEST_KINDS,
+    BatchObserver,
+    ExecutorLost,
+    Lane,
+    ServingCore,
+    shadow_sample_every_default,
 )
+from ..frontend.metrics import ServerMetrics
+from ..frontend.queuing import Request, ServerClosed
 from .breaker import BreakerPolicy, CircuitBreaker
 from .protocol import (
     FrameKind,
@@ -75,68 +78,46 @@ from .worker import WorkerBootError, WorkerHandle, WorkerOptions, spawn_worker
 
 __all__ = ["ClusterServer"]
 
-BatchObserver = Callable[[str, List[Request]], None]
 
-
-class _Shard:
-    """One worker process plus its router-side serving state."""
+class _Shard(Lane):
+    """One worker process plus its router-side serving lane."""
 
     LIVE = "live"
     RETIRING = "retiring"
     FAILED = "failed"
 
-    def __init__(
-        self,
-        variant: "_Variant",
-        index: int,
-        queue: RequestQueue,
-        batcher: DynamicBatcher,
-        metrics: ServerMetrics,
-        breaker_policy: Optional[BreakerPolicy] = None,
-    ) -> None:
+    def __init__(self, cluster: "ClusterServer", variant: "_Variant", index: int) -> None:
+        name = f"{variant.name}[{index}]"
+        super().__init__(
+            cluster,
+            variant.name,
+            name=name,
+            labels={"variant": variant.name, "shard": index},
+            event_labels={"variant": variant.name, "shard": name},
+            health_labels={"variant": variant.name},
+        )
         self.variant = variant
         self.index = index
-        self.queue = queue
-        self.batcher = batcher
-        self.metrics = metrics
         self.breaker = CircuitBreaker(
-            breaker_policy, on_open=metrics.record_breaker_open
+            cluster.breaker_policy, on_open=self.metrics.record_breaker_open
         )
         self.handle: Optional[WorkerHandle] = None
-        self.dispatcher: Optional[threading.Thread] = None
         self.state = self.LIVE
         self.restarts = 0
-        self.needs_restart = False
-        self._request_ids = itertools.count(1)
-        self._pending = 0
-        self._idle = threading.Condition()
+        # The handle the monitor last saw dead.  The dispatcher restarts
+        # only if it is still the shard's current handle, so a death the
+        # dispatcher already handled can never trigger a second respawn.
+        self.dead_handle: Optional[WorkerHandle] = None
+        # Wire frame ids, per shard; request ids are server-wide.
+        self.frame_ids = itertools.count(1)
 
     @property
-    def name(self) -> str:
-        return f"{self.variant.name}[{self.index}]"
-
-    # -- outstanding-request accounting (least-outstanding routing) -------- #
-    def note_admitted(self) -> None:
-        with self._idle:
-            self._pending += 1
-
-    def note_done(self) -> None:
-        with self._idle:
-            self._pending -= 1
-            if self._pending <= 0:
-                self._idle.notify_all()
+    def health(self) -> Optional[ModelHealth]:
+        return self.variant.health
 
     @property
-    def outstanding(self) -> int:
-        with self._idle:
-            return self._pending
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        with self._idle:
-            return self._idle.wait_for(lambda: self._pending == 0, timeout)
-
-    def next_request_id(self) -> int:
-        return next(self._request_ids)
+    def uses_fallback(self) -> bool:
+        return self.handle.uses_fallback if self.handle else False
 
 
 class _Variant:
@@ -176,7 +157,7 @@ class _Variant:
             return list(self.shards)
 
 
-class ClusterServer:
+class ClusterServer(ServingCore):
     """Process-sharded, wire-connected serving over quantized checkpoints.
 
     Parameters mirror :class:`~repro.serve.frontend.ModelServer` where they
@@ -223,7 +204,6 @@ class ClusterServer:
         How many finished spans the bounded ring retains.
     """
 
-    _POLL_SECONDS = 0.05
     _MONITOR_SECONDS = 0.25
 
     def __init__(
@@ -243,18 +223,21 @@ class ClusterServer:
         trace: bool = True,
         span_capacity: int = 4096,
     ) -> None:
-        if max_batch_size <= 0:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_delay_ms < 0:
-            raise ValueError(f"max_delay_ms must be >= 0, got {max_delay_ms}")
+        super().__init__(
+            "cluster",
+            execute=self._execute_remote,
+            max_batch_size=max_batch_size,
+            max_delay_ms=max_delay_ms,
+            max_queue_depth=max_queue_depth,
+            latency_window=latency_window,
+            on_batch=on_batch,
+            trace=trace,
+            span_capacity=span_capacity,
+        )
         if max_request_retries < 0:
             raise ValueError(
                 f"max_request_retries must be >= 0, got {max_request_retries}"
             )
-        self.max_batch_size = int(max_batch_size)
-        self.max_delay_ms = float(max_delay_ms)
-        self.max_queue_depth = int(max_queue_depth)
-        self.latency_window = int(latency_window)
         self.start_method = start_method
         self.boot_timeout_s = float(boot_timeout_s)
         self.request_timeout_s = float(request_timeout_s)
@@ -265,15 +248,7 @@ class ClusterServer:
         #: ``before_dispatch(cluster, variant_name, shard_name)`` hook runs
         #: right before each micro-batch hits the wire.  None in production.
         self.fault_injector = None
-        self._on_batch = on_batch
-        self.trace_enabled = bool(trace)
-        self.spans = SpanRecorder(span_capacity)
-        self.events = EventLog()
         self._variants: "OrderedDict[str, _Variant]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._started = False
-        self._closed = False
-        self._abort = threading.Event()
         self._monitor: Optional[threading.Thread] = None
         self._scaling_events: List[Dict[str, object]] = []
 
@@ -343,14 +318,8 @@ class ClusterServer:
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "ClusterServer":
-        with self._lock:
-            if self._closed:
-                raise ServerClosed("this cluster was stopped; build a new one")
-            if self._started:
-                raise RuntimeError("the cluster is already running")
-            self._started = True
-            variants = list(self._variants.values())
-        for variant in variants:
+        super().start()
+        for variant in self._variant_list():
             self._reconcile(variant)
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="cluster/monitor", daemon=True
@@ -360,51 +329,12 @@ class ClusterServer:
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop the fleet. ``drain=True`` serves everything already admitted."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if not drain:
-                self._abort.set()
-            variants = list(self._variants.values())
-            was_started = self._started
-        for variant in variants:
-            for shard in variant.all_shards():
-                shard.queue.close()
-        if was_started:
-            for variant in variants:
-                for shard in variant.all_shards():
-                    if shard.dispatcher is not None:
-                        shard.dispatcher.join(timeout)
-        error = ServerClosed("the cluster stopped before this request was served")
-        for variant in variants:
-            for shard in variant.all_shards():
-                for request in shard.queue.drain_remaining():
-                    self._fail_request(shard, request, error)
-                if shard.handle is not None:
-                    shard.handle.shutdown(timeout=5.0)
+        super().stop(drain, timeout)
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every admitted request completed (cluster keeps running)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for variant in self._variant_list():
-            for shard in variant.all_shards():
-                remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-                if not shard.wait_idle(remaining):
-                    return False
-        return True
-
-    @property
-    def running(self) -> bool:
-        return self._started and not self._closed
-
-    def __enter__(self) -> "ClusterServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.stop(drain=exc_type is None)
+    def lanes(self) -> List[_Shard]:
+        return [shard for variant in self._variant_list() for shard in variant.all_shards()]
 
     # ------------------------------------------------------------------ #
     # submission API (mirrors ModelServer)
@@ -433,69 +363,18 @@ class ClusterServer:
         tracing is on and none is given); look it up afterwards with
         ``cluster.spans.find(trace_id)``.
         """
-        if self._closed:
-            raise ServerClosed("the cluster is stopped")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
         variant = self._variant(name)
-        array = np.ascontiguousarray(np.asarray(inputs, dtype=np.float32))
-        if array.ndim == 3:
-            array = array[np.newaxis]
-            squeeze = True
-        elif array.ndim == 4:
-            squeeze = False
-        else:
-            raise ValueError(
-                f"expected a (C, H, W) sample or (n, C, H, W) small batch, "
-                f"got shape {array.shape}"
-            )
-        if array.shape[0] == 0:
-            raise ValueError("cannot submit an empty request")
-        if array.shape[0] > self.max_batch_size:
-            raise ValueError(
-                f"request of {array.shape[0]} samples exceeds max_batch_size="
-                f"{self.max_batch_size}; use InferenceEngine.predict_logits "
-                f"for large offline batches"
-            )
+        request = self._make_request(inputs, deadline_s, priority, trace_id)
         excluded: set = set()
         while True:
             shard = self._pick_shard(variant, excluded)
-            now = time.monotonic()
-            request = Request(
-                inputs=array,
-                future=Future(),
-                squeeze=squeeze,
-                enqueue_time=now,
-                request_id=shard.next_request_id(),
-                deadline=None if deadline_s is None else now + deadline_s,
-                priority=int(priority),
-                trace=TraceContext(trace_id, started=now) if self.trace_enabled else None,
-            )
-            shard.note_admitted()
             try:
-                shard.queue.put(request, block=block, timeout=timeout)
-            except ServerOverloaded:
-                # Full queue: try shedding a queued lower-priority request
-                # to make room before rejecting outright.
-                try:
-                    victim = shard.queue.shed_lower_priority(request)
-                except ServerOverloaded:
-                    shard.note_done()
-                    shard.metrics.record_rejected()
-                    raise
-                except ServerClosed:
-                    shard.note_done()
-                    excluded.add(shard)
-                    continue
-                if victim is not None:
-                    self._shed_request(shard, victim)
+                self._admit(shard, request, block, timeout)
             except ServerClosed:
                 # Lost the race with this shard's retirement/failure; another
                 # shard (if any is left) can still take the request.
-                shard.note_done()
                 excluded.add(shard)
                 continue
-            shard.metrics.record_admitted(shard.queue.depth)
             return request.future
 
     def predict(
@@ -529,15 +408,14 @@ class ClusterServer:
             )
         allowed = [shard for shard in live if shard.breaker.allow()]
         pool = allowed if allowed else live
-        return min(pool, key=lambda shard: shard.outstanding)
+        return min(pool, key=lambda shard: shard.pending)
 
     def _variant(self, name: str) -> _Variant:
         with self._lock:
             variant = self._variants.get(name)
-        if variant is None:
-            with self._lock:
+            if variant is None:
                 known = ", ".join(sorted(self._variants)) or "<none>"
-            raise KeyError(f"no variant registered under {name!r} (registered: {known})")
+                raise KeyError(f"no variant registered under {name!r} (registered: {known})")
         return variant
 
     def _variant_list(self) -> List[_Variant]:
@@ -557,24 +435,10 @@ class ClusterServer:
             self._add_shard(variant)
 
     def _add_shard(self, variant: _Variant) -> _Shard:
-        queue = RequestQueue(max_depth=self.max_queue_depth)
-        batcher = DynamicBatcher(
-            queue, max_batch_size=self.max_batch_size, max_delay=self.max_delay_ms / 1e3
-        )
         with variant.lock:
             index = variant.next_index
             variant.next_index += 1
-        shard = _Shard(
-            variant,
-            index,
-            queue,
-            batcher,
-            ServerMetrics(self.latency_window),
-            breaker_policy=self.breaker_policy,
-        )
-        batcher.on_expired = lambda request, shard=shard: self._expire_request(
-            shard, request
-        )
+        shard = _Shard(self, variant, index)
         # Breaker OPEN/HALF_OPEN/CLOSED transitions become structured events
         # (the OPEN counter alone cannot say which shard darkened, or when
         # it recovered).
@@ -592,15 +456,9 @@ class ClusterServer:
             start_method=self.start_method,
             boot_timeout=self.boot_timeout_s,
         )
-        shard.dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            args=(variant, shard),
-            name=f"cluster-dispatch/{shard.name}",
-            daemon=True,
-        )
         with variant.lock:
             variant.shards.append(shard)
-        shard.dispatcher.start()
+        self._spawn(shard)
         return shard
 
     def _retire_shard(self, variant: _Variant, shard: _Shard) -> None:
@@ -659,152 +517,48 @@ class ClusterServer:
     # ------------------------------------------------------------------ #
     # dispatcher: one thread per shard, owner of the shard's wire
     # ------------------------------------------------------------------ #
-    def _dispatch_loop(self, variant: _Variant, shard: _Shard) -> None:
-        while True:
-            if shard.needs_restart and not self._closed:
-                shard.needs_restart = False
-                if not self._restart_worker(variant, shard):
-                    return
-            batch = shard.batcher.next_batch(timeout=self._POLL_SECONDS)
-            if batch:
-                if self._abort.is_set():
-                    error = ServerClosed("the cluster stopped before this request was served")
-                    for request in batch:
-                        self._fail_request(shard, request, error)
-                else:
-                    self._serve_batch(variant, shard, batch)
-                continue
-            if shard.queue.closed:
-                break
-        # Drained (stop or retirement): shut the worker down and deregister
-        # retiring shards so they stop appearing in telemetry.
-        if shard.state == _Shard.RETIRING:
-            if shard.handle is not None:
-                shard.handle.shutdown(timeout=5.0)
-            with variant.lock:
-                if shard in variant.shards:
-                    variant.shards.remove(shard)
-
-    def _serve_batch(self, variant: _Variant, shard: _Shard, batch: List[Request]) -> None:
-        formed = time.monotonic()
-        live: List[Request] = []
-        for request in batch:
-            if request.attempts > 0:
-                # Re-dispatched after a crash: the future is already RUNNING
-                # (set_running_or_notify_cancel would raise InvalidStateError).
-                live.append(request)
-            elif request.future.set_running_or_notify_cancel():
-                live.append(request)
-            else:
-                shard.metrics.record_cancelled()
-                shard.note_done()
-        if not live:
+    def _run_lane(self, shard: _Shard) -> None:
+        if not self._serve(shard, tick=lambda: self._restart_if_dead(shard)):
             return
-        # Same per-shape grouping as ModelServer: a malformed request can
-        # only fail its own group.
-        groups: "OrderedDict[tuple, List[Request]]" = OrderedDict()
-        for request in live:
-            groups.setdefault(request.sample_shape, []).append(request)
-        for group_index, requests in enumerate(groups.values()):
-            stacked = (
-                requests[0].inputs
-                if len(requests) == 1
-                else np.concatenate([r.inputs for r in requests], axis=0)
-            )
-            injector = self.fault_injector
-            if injector is not None:
-                injector.before_dispatch(self, variant.name, shard.name)
-            wire_start = time.monotonic()
-            traced = [r for r in requests if r.trace is not None]
-            for request in traced:
-                # queue_wait ended at the batcher's pop; pop -> wire send is
-                # batch formation (stacking, grouping, fault hooks).
-                request.trace.advance("queue_wait", request.dequeue_time or formed)
-                request.trace.advance("batch", wire_start)
-            try:
-                logits, worker_trace = self._roundtrip(
-                    shard,
-                    stacked,
-                    trace_ids=[r.trace.trace_id for r in traced] if traced else None,
-                )
-            except (ChannelClosed, ProtocolError, TimeoutError) as error:
-                # The worker's wire is gone: everything we popped for this
-                # batch is in flight from the router's perspective.  Requests
-                # with retry budget left are re-dispatched (inference is
-                # pure, so the retry is idempotent); the rest fail with
-                # WorkerCrashed.  The shard's *queue* survives untouched.
-                shard.breaker.record_failure()
-                crash = WorkerCrashed(
-                    f"shard {shard.name} (pid={shard.handle.pid if shard.handle else '?'}) "
-                    f"died with this request in flight: {error}"
-                )
-                remaining = [r for grp in list(groups.values())[group_index:] for r in grp]
-                for request in remaining:
-                    if request.trace is not None:
-                        # Attribute the doomed attempt (send -> crash
-                        # detection) to the wire, so a retried request's
-                        # span still tiles its whole life.
-                        request.trace.advance("wire")
-                    if not self._redispatch(variant, shard, request):
-                        self._fail_request(shard, request, crash)
-                if not self._restart_worker(variant, shard):
-                    return
-                return
-            except Exception as error:  # noqa: BLE001 - typed worker-side failure
-                for request in requests:
-                    self._fail_request(shard, request, error)
-                continue
-            done = time.monotonic()
-            if traced:
-                # Split the observed round trip into the worker's own engine
-                # time (measured in-process, echoed in the reply's trace
-                # block) and everything else: serialization, socket transit,
-                # and worker-side queuing — the wire.
-                wire_total = max(done - wire_start, 0.0)
-                execute_s = 0.0
-                if worker_trace is not None:
-                    execute_s = min(max(float(worker_trace.get("execute_s", 0.0)), 0.0), wire_total)
-                for request in traced:
-                    request.trace.stage("wire", wire_total - execute_s)
-                    request.trace.stage("execute", execute_s)
-                    request.trace.cursor = done
-            shard.breaker.record_success(done)
-            shard.metrics.record_batch(int(stacked.shape[0]), done - formed)
-            shard.metrics.record_served_path(
-                len(requests),
-                fallback=shard.handle.uses_fallback if shard.handle else False,
-            )
-            offset = 0
-            for request in requests:
-                rows = logits[offset : offset + request.num_samples]
-                offset += request.num_samples
-                if request.expired(done):
-                    # The answer arrived after the caller's deadline: a
-                    # deadline contract that only covers queueing is no
-                    # contract at all.
-                    self._expire_request(shard, request)
-                    continue
-                result = rows[0] if request.squeeze else rows
-                try:
-                    request.future.set_result(np.ascontiguousarray(result))
-                except InvalidStateError:
-                    pass
-                shard.metrics.record_completion(
-                    latency_seconds=done - request.enqueue_time,
-                    wait_seconds=formed - request.enqueue_time,
-                    samples=request.num_samples,
-                )
-                self._record_span(shard, request, "completed", finished=done)
-                shard.note_done()
-            if variant.health is not None:
-                # Post-completion so health bookkeeping can never delay (or
-                # fail) a caller's future; the served logits are untouched.
-                try:
-                    variant.health.observe_batch(stacked, logits)
-                except Exception:  # noqa: BLE001 - health must never break serving
-                    pass
-            if self._on_batch is not None:
-                self._on_batch(variant.name, requests)
+        # Drained (stop or retirement): the dispatcher owns its worker, so it
+        # shuts it down; retired shards also leave telemetry.
+        if shard.handle is not None:
+            shard.handle.shutdown(timeout=5.0)
+        if shard.state == _Shard.RETIRING:
+            with shard.variant.lock:
+                if shard in shard.variant.shards:
+                    shard.variant.shards.remove(shard)
+
+    def _restart_if_dead(self, shard: _Shard) -> bool:
+        """Restart the worker the monitor found dead; False once the shard failed.
+
+        A flag the monitor sets between this read and the clear is lost,
+        but the monitor sets it again on its next tick while the handle
+        stays current and dead.
+        """
+        dead, shard.dead_handle = shard.dead_handle, None
+        if dead is None or dead is not shard.handle or self._closed:
+            return True
+        return self._restart_worker(shard.variant, shard)
+
+    def _execute_remote(self, shard: _Shard, stacked: np.ndarray, requests: List[Request]):
+        """The cluster executor: one round trip to the shard's worker.
+
+        Returns the logits and the worker's own engine time.  A lost wire
+        (closed channel, garbled frame, no reply in time) raises
+        :class:`ExecutorLost`; typed worker-side errors propagate as-is and
+        fail only this group.
+        """
+        injector = self.fault_injector
+        if injector is not None:
+            injector.before_dispatch(self, shard.variant.name, shard.name)
+        trace_ids = [r.trace.trace_id for r in requests if r.trace is not None]
+        try:
+            logits, worker_trace = self._roundtrip(shard, stacked, trace_ids or None)
+        except (ChannelClosed, ProtocolError, TimeoutError) as error:
+            raise ExecutorLost(str(error)) from error
+        shard.breaker.record_success()
+        return logits, float((worker_trace or {}).get("execute_s", 0.0))
 
     def _roundtrip(
         self,
@@ -815,18 +569,18 @@ class ClusterServer:
         """One REQUEST/RESPONSE exchange; raises the typed worker error.
 
         Only the shard's dispatcher thread ever touches the wire, so the
-        exchange needs no locking — request ids still correlate replies in
+        exchange needs no locking — frame ids still correlate replies in
         case a stale frame (e.g. from a boot-time exchange) lingers.
 
         ``trace_ids`` (when tracing) ride in the version-2 trace block; the
         worker echoes them back with its measured ``execute_s``, returned
         here as the second element (``None`` for untraced exchanges).
         """
-        request_id = shard.next_request_id()
+        frame_id = next(shard.frame_ids)
         channel = shard.handle.channel
         channel.send(
             FrameKind.REQUEST,
-            request_id,
+            frame_id,
             encode_request(
                 shard.variant.name,
                 stacked,
@@ -843,12 +597,35 @@ class ClusterServer:
             frame = channel.recv(timeout=remaining)
             if frame is None:
                 continue
-            if frame.request_id != request_id:
+            if frame.request_id != frame_id:
                 continue  # stale reply from an abandoned exchange
             if frame.kind == FrameKind.RESPONSE:
                 return decode_response(frame.payload)
             if frame.kind == FrameKind.ERROR:
                 raise exception_from_error(frame.payload)
+
+    def _recover(self, shard: _Shard, unserved: List[Request], error: ExecutorLost) -> None:
+        """The worker's wire is gone mid-batch: re-dispatch, then restart.
+
+        Everything popped for the batch is in flight from the router's
+        perspective.  Requests with retry budget left are re-dispatched
+        (inference is pure, so the retry is idempotent); the rest fail with
+        WorkerCrashed.  The shard's *queue* survives untouched.
+        """
+        shard.breaker.record_failure()
+        crash = WorkerCrashed(
+            f"shard {shard.name} (pid={shard.handle.pid if shard.handle else '?'}) "
+            f"died with this request in flight: {error}"
+        )
+        for request in unserved:
+            if request.trace is not None:
+                # Attribute the doomed attempt (send -> crash detection) to
+                # the wire, so a retried request's span still tiles its
+                # whole life.
+                request.trace.advance("wire")
+            if not self._redispatch(shard.variant, shard, request):
+                self._fail_request(shard, request, crash)
+        self._restart_worker(shard.variant, shard)
 
     def _restart_worker(self, variant: _Variant, shard: _Shard) -> bool:
         """Respawn a dead shard worker in place; False when the shard is failed."""
@@ -901,77 +678,6 @@ class ClusterServer:
             if shard in variant.shards:
                 variant.shards.remove(shard)
 
-    def _record_span(
-        self, shard: _Shard, request: Request, status: str, finished: Optional[float] = None
-    ) -> None:
-        if request.trace is None:
-            return
-        request.trace.finish(finished)
-        self.spans.record(
-            request.trace.to_span(
-                status=status,
-                variant=shard.variant.name,
-                shard=shard.index,
-                request_id=request.request_id,
-                samples=request.num_samples,
-                priority=request.priority,
-                attempts=request.attempts,
-            )
-        )
-
-    def _fail_request(self, shard: _Shard, request: Request, error: BaseException) -> None:
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(error)
-            except InvalidStateError:
-                pass
-        shard.metrics.record_failed()
-        self._record_span(shard, request, "failed")
-        shard.note_done()
-
-    def _expire_request(self, shard: _Shard, request: Request) -> None:
-        """Fail one request whose deadline passed (queued or mid-flight)."""
-        error = DeadlineExceeded(
-            f"request {request.request_id} on {shard.name} exceeded its deadline"
-        )
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(error)
-            except InvalidStateError:
-                pass
-        shard.metrics.record_expired()
-        self.events.emit(
-            "request_expired",
-            variant=shard.variant.name,
-            shard=shard.name,
-            request_id=request.request_id,
-            priority=request.priority,
-        )
-        self._record_span(shard, request, "expired")
-        shard.note_done()
-
-    def _shed_request(self, shard: _Shard, request: Request) -> None:
-        """Fail one queued request shed to admit a higher-priority one."""
-        error = ServerOverloaded(
-            f"request {request.request_id} on {shard.name} was shed for a "
-            f"higher-priority request"
-        )
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(error)
-            except InvalidStateError:
-                pass
-        shard.metrics.record_shed()
-        self.events.emit(
-            "request_shed",
-            variant=shard.variant.name,
-            shard=shard.name,
-            request_id=request.request_id,
-            priority=request.priority,
-        )
-        self._record_span(shard, request, "shed")
-        shard.note_done()
-
     def _redispatch(self, variant: _Variant, shard: _Shard, request: Request) -> bool:
         """Requeue a crash-interrupted request; False when it must fail.
 
@@ -1014,13 +720,10 @@ class ClusterServer:
         """Detect workers that died while idle; the dispatcher owns restarts."""
         while not self._closed:
             time.sleep(self._MONITOR_SECONDS)
-            for variant in self._variant_list():
-                for shard in variant.all_shards():
-                    if shard.state != _Shard.LIVE or shard.needs_restart:
-                        continue
-                    handle = shard.handle
-                    if handle is not None and not handle.is_alive():
-                        shard.needs_restart = True
+            for shard in self.lanes():
+                handle = shard.handle
+                if shard.state == _Shard.LIVE and handle is not None and not handle.is_alive():
+                    shard.dead_handle = handle
 
     def healthy(self, name: Optional[str] = None) -> bool:
         """True when every (or the named) variant has all target shards live.
@@ -1043,33 +746,6 @@ class ClusterServer:
     # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #
-    def telemetry_targets(self) -> List[Dict[str, object]]:
-        """Label/metrics pairs for the Prometheus exporter: one per shard.
-
-        Each target is ``{"labels": {"variant": ..., "shard": index},
-        "metrics": the shard's live ServerMetrics, "queue_depth": current
-        depth}`` — the contract :func:`repro.obs.collect_families`
-        consumes.  Per-shard (not merged) series keep counters monotonic
-        across scrapes and let dashboards aggregate however they like.
-        """
-        targets: List[Dict[str, object]] = []
-        for variant in self._variant_list():
-            for shard in variant.all_shards():
-                targets.append(
-                    {
-                        "labels": {"variant": variant.name, "shard": str(shard.index)},
-                        "metrics": shard.metrics,
-                        "queue_depth": shard.queue.depth,
-                        # One health object per variant: every shard row
-                        # shares it, and the exporter's identity dedup emits
-                        # the repro_quant_*/repro_drift_* series once under
-                        # the variant-level labels.
-                        "health": variant.health,
-                        "health_labels": {"variant": variant.name},
-                    }
-                )
-        return targets
-
     def enable_model_health(
         self,
         name: Optional[str] = None,
@@ -1098,12 +774,7 @@ class ClusterServer:
         shares the variant's object.
         """
         if shadow_sample_every is None:
-            try:
-                shadow_sample_every = int(
-                    os.environ.get("REPRO_SHADOW_SAMPLE_EVERY", "16")
-                )
-            except ValueError:
-                shadow_sample_every = 16
+            shadow_sample_every = shadow_sample_every_default()
         variants = (
             [self._variant(name)] if name is not None else self._variant_list()
         )
@@ -1140,30 +811,14 @@ class ClusterServer:
             variant.name: self._variant_metrics(variant)
             for variant in self._variant_list()
         }
+        merged = [view["merged"] for view in variants.values()]
         totals = {
-            "requests_admitted": 0,
-            "requests_completed": 0,
-            "requests_failed": 0,
-            "requests_rejected": 0,
-            "requests_expired": 0,
-            "requests_shed": 0,
-            "requests_retried": 0,
-            "breaker_open_total": 0,
-            "samples_completed": 0,
-            "batches_served": 0,
+            f"requests_{kind}": sum(m["requests"][kind] for m in merged)
+            for kind in REQUEST_KINDS
         }
-        for view in variants.values():
-            requests = view["merged"]["requests"]
-            totals["requests_admitted"] += requests["admitted"]
-            totals["requests_completed"] += requests["completed"]
-            totals["requests_failed"] += requests["failed"]
-            totals["requests_rejected"] += requests["rejected"]
-            totals["requests_expired"] += requests["expired"]
-            totals["requests_shed"] += requests["shed"]
-            totals["requests_retried"] += requests["retried"]
-            totals["breaker_open_total"] += view["merged"]["breaker_open_total"]
-            totals["samples_completed"] += view["merged"]["samples_completed"]
-            totals["batches_served"] += view["merged"]["batches"]["served"]
+        totals["breaker_open_total"] = sum(m["breaker_open_total"] for m in merged)
+        totals["samples_completed"] = sum(m["samples_completed"] for m in merged)
+        totals["batches_served"] = sum(m["batches"]["served"] for m in merged)
         return {
             "cluster": {
                 "running": self.running,
@@ -1203,7 +858,7 @@ class ClusterServer:
             "live_shards": len(shards),
             "target_shards": variant.target_shards,
             "bounds": (variant.min_shards, variant.max_shards),
-            "outstanding": sum(shard.outstanding for shard in shards),
+            "outstanding": sum(shard.pending for shard in shards),
             "queue_depth": sum(shard.queue.depth for shard in shards),
             "p95_latency_ms": max(
                 (shard.metrics.latency_percentile_ms(95.0) for shard in shards),
@@ -1223,7 +878,7 @@ class ClusterServer:
                     "breaker": shard.breaker.state,
                     "pid": shard.handle.pid if shard.handle else None,
                     "restarts": shard.restarts,
-                    "outstanding": shard.outstanding,
+                    "outstanding": shard.pending,
                     "queue_depth": shard.queue.depth,
                     "uses_fallback": shard.handle.uses_fallback if shard.handle else None,
                     "metrics": shard.metrics.snapshot(queue_depth=shard.queue.depth),

@@ -12,6 +12,9 @@ this package turns it into a *service*.  The pieces compose bottom-up:
   variants, each pinned to its own worker thread and engine;
 * :class:`ServerMetrics` (:mod:`.metrics`) — p50/p95/p99 latency, queue
   depth, batch-occupancy histogram and throughput, exportable as JSON;
+* :class:`ServingCore` (:mod:`.core`) — the request lifecycle over those
+  pieces, shared with the cluster router; only executing one stacked batch
+  is left to the server, behind the executor seam;
 * :class:`ModelServer` (:mod:`.server`) — the facade: lifecycle
   (``start``/``stop``/``drain``, context manager), a future-returning
   :meth:`~ModelServer.submit` and a synchronous
@@ -30,6 +33,7 @@ Quickstart::
 """
 
 from .batcher import DynamicBatcher
+from .core import ServingCore
 from .metrics import ServerMetrics
 from .queuing import (
     DeadlineExceeded,
@@ -52,4 +56,5 @@ __all__ = [
     "ServerClosed",
     "ServerOverloaded",
     "ServerMetrics",
+    "ServingCore",
 ]

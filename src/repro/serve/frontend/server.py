@@ -10,6 +10,10 @@ deadline, and one dedicated worker thread drives the model's
 :class:`~repro.serve.InferenceEngine` over each batch and scatters the logits
 rows back into the callers' futures.
 
+The request lifecycle is :class:`~repro.serve.frontend.core.ServingCore`,
+shared with the cluster router; this module adds the model registry and the
+local executor, ``engine.predict_logits`` under the lane's model lock.
+
 Design invariants:
 
 * **One worker per engine.**  Engines (and the autograd modules under them)
@@ -35,90 +39,47 @@ Design invariants:
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
 import threading
-import time
-from collections import OrderedDict
-from concurrent.futures import Future, InvalidStateError
-from typing import Callable, Dict, List, Optional, Sequence
+from concurrent.futures import Future
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ...nn.tensor import no_grad
-from ...obs import EventLog, SpanRecorder, TraceContext
 from ...obs.health import DriftDetector, ModelHealth, QuantHealthTap, ShadowExecutor
-from .batcher import DynamicBatcher
-from .metrics import ServerMetrics
-from .queuing import (
-    DeadlineExceeded,
-    Request,
-    RequestQueue,
-    ServerClosed,
-    ServerOverloaded,
+from .core import (
+    REQUEST_KINDS,
+    BatchObserver,
+    Lane,
+    ServingCore,
+    shadow_sample_every_default,
 )
+from .queuing import Request, ServerClosed
 from .registry import ModelEntry, ModelRegistry
 
 __all__ = ["ModelServer"]
 
-# Called after a micro-batch is served, with (model_name, requests_in_batch
-# order).  A telemetry/testing hook: the parity tests reconstruct the exact
-# stacked batch from it and compare against a direct engine call.
-BatchObserver = Callable[[str, List[Request]], None]
 
+class _Lane(Lane):
+    """Per-hosted-model serving state: the core's lane plus its engine."""
 
-class _Lane:
-    """Per-hosted-model serving state: queue, batcher, metrics, worker."""
-
-    def __init__(self, entry: ModelEntry, queue: RequestQueue, batcher: DynamicBatcher,
-                 metrics: ServerMetrics, model_lock: threading.Lock) -> None:
+    def __init__(self, server: "ModelServer", entry: ModelEntry, model_lock: threading.Lock) -> None:
+        super().__init__(server, entry.name)
         self.entry = entry
-        self.queue = queue
-        self.batcher = batcher
-        self.metrics = metrics
         # Shared between lanes hosting the same model object (float + integer
         # variants of one checkpoint): engine.predict_logits toggles the
         # model's train/eval mode, so two engines over one model must never
         # serve concurrently.  Lanes over distinct models get distinct locks
         # and never contend.
         self.model_lock = model_lock
-        # Optional repro.obs.health.ModelHealth attached by
-        # ModelServer.enable_model_health(); fed after each served batch.
-        self.health: Optional[ModelHealth] = None
-        self.worker: Optional[threading.Thread] = None
-        self._pending = 0
-        self._idle = threading.Condition()
 
     @property
-    def name(self) -> str:
-        return self.entry.name
-
-    @property
-    def engine(self):
-        return self.entry.engine
-
-    def note_admitted(self) -> None:
-        with self._idle:
-            self._pending += 1
-
-    def note_done(self) -> None:
-        with self._idle:
-            self._pending -= 1
-            if self._pending <= 0:
-                self._idle.notify_all()
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        with self._idle:
-            return self._idle.wait_for(lambda: self._pending == 0, timeout)
-
-    @property
-    def pending(self) -> int:
-        with self._idle:
-            return self._pending
+    def uses_fallback(self) -> bool:
+        return self.entry.engine.uses_fallback
 
 
-class ModelServer:
+class ModelServer(ServingCore):
     """Concurrent, dynamically-batched serving over a multi-model registry.
 
     Parameters
@@ -151,8 +112,6 @@ class ModelServer:
         How many finished spans the ring retains.
     """
 
-    _POLL_SECONDS = 0.05
-
     def __init__(
         self,
         registry: Optional[ModelRegistry] = None,
@@ -165,26 +124,20 @@ class ModelServer:
         trace: bool = True,
         span_capacity: int = 2048,
     ) -> None:
-        if max_batch_size <= 0:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_delay_ms < 0:
-            raise ValueError(f"max_delay_ms must be >= 0, got {max_delay_ms}")
+        super().__init__(
+            "server",
+            execute=self._predict,
+            max_batch_size=max_batch_size,
+            max_delay_ms=max_delay_ms,
+            max_queue_depth=max_queue_depth,
+            latency_window=latency_window,
+            on_batch=on_batch,
+            trace=trace,
+            span_capacity=span_capacity,
+        )
         self.registry = registry if registry is not None else ModelRegistry()
-        self.max_batch_size = int(max_batch_size)
-        self.max_delay_ms = float(max_delay_ms)
-        self.max_queue_depth = int(max_queue_depth)
-        self.latency_window = int(latency_window)
-        self._on_batch = on_batch
-        self.trace_enabled = bool(trace)
-        self.spans = SpanRecorder(span_capacity)
-        self.events = EventLog()
         self._lanes: "Dict[str, _Lane]" = {}
         self._model_locks: "Dict[int, threading.Lock]" = {}
-        self._lock = threading.Lock()
-        self._started = False
-        self._closed = False
-        self._abort = threading.Event()
-        self._request_ids = itertools.count(1)
         for entry in self.registry.entries():
             self._ensure_lane(entry)
 
@@ -231,26 +184,12 @@ class ModelServer:
                 raise ServerClosed("cannot register models on a stopped server")
             lane = self._lanes.get(entry.name)
             if lane is None:
-                queue = RequestQueue(max_depth=self.max_queue_depth)
-                batcher = DynamicBatcher(
-                    queue,
-                    max_batch_size=self.max_batch_size,
-                    max_delay=self.max_delay_ms / 1e3,
-                )
                 model_lock = self._model_locks.setdefault(
                     id(entry.engine.model), threading.Lock()
                 )
-                lane = _Lane(
-                    entry, queue, batcher, ServerMetrics(self.latency_window), model_lock
-                )
-                # Deadline-aware eviction: a request that expires while queued
-                # is failed with the typed error and never wins a batch slot.
-                batcher.on_expired = lambda request, lane=lane: self._expire_request(
-                    lane, request
-                )
-                self._lanes[entry.name] = lane
+                lane = self._lanes[entry.name] = _Lane(self, entry, model_lock)
                 if self._started:
-                    self._spawn_worker(lane)
+                    self._spawn(lane)
             return lane
 
     def _lane(self, model_name: str) -> _Lane:
@@ -261,77 +200,19 @@ class ModelServer:
             lane = self._ensure_lane(entry)
         return lane
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self) -> "ModelServer":
-        with self._lock:
-            if self._closed:
-                raise ServerClosed("this server was stopped; build a new one")
-            if self._started:
-                raise RuntimeError("the server is already running")
-            self._started = True
-            for lane in self._lanes.values():
-                self._spawn_worker(lane)
-        return self
+    def lanes(self) -> List[_Lane]:
+        with self._lock:  # live registration mutates _lanes concurrently
+            return list(self._lanes.values())
 
-    def _spawn_worker(self, lane: _Lane) -> None:
-        worker = threading.Thread(
-            target=self._worker_loop,
-            args=(lane,),
-            name=f"model-server/{lane.name}",
-            daemon=True,
-        )
-        lane.worker = worker
-        worker.start()
+    @staticmethod
+    def _predict(lane: _Lane, stacked: np.ndarray, requests: List[Request]):
+        """The local executor: one engine call under the lane's model lock.
 
-    def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting requests and shut the worker pool down.
-
-        ``drain=True`` serves everything already admitted before returning;
-        ``drain=False`` fails still-queued futures with :class:`ServerClosed`
-        (the in-flight micro-batch always completes — a BLAS call cannot be
-        interrupted).  ``timeout`` bounds the per-worker join.
+        ``predict_logits`` is looked up on every call, so instrumentation
+        that patches it on the engine instance sees the served batches.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if not drain:
-                self._abort.set()
-            lanes = list(self._lanes.values())
-            was_started = self._started
-        for lane in lanes:
-            lane.queue.close()
-        if was_started:
-            for lane in lanes:
-                if lane.worker is not None:
-                    lane.worker.join(timeout)
-        error = ServerClosed("the server stopped before this request was served")
-        for lane in lanes:
-            for request in lane.queue.drain_remaining():
-                self._fail_request(lane, request, error)
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every admitted request has completed (server keeps running)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            lanes = list(self._lanes.values())
-        for lane in lanes:
-            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-            if not lane.wait_idle(remaining):
-                return False
-        return True
-
-    @property
-    def running(self) -> bool:
-        return self._started and not self._closed
-
-    def __enter__(self) -> "ModelServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.stop(drain=exc_type is None)
+        with lane.model_lock:
+            return lane.entry.engine.predict_logits(stacked), None
 
     # ------------------------------------------------------------------ #
     # submission API
@@ -367,61 +248,9 @@ class ModelServer:
         tracing is on and none is given); look the finished span up with
         ``server.spans.find(trace_id)``.
         """
-        if self._closed:
-            raise ServerClosed("the server is stopped")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
         lane = self._lane(model_name)
-        array = np.ascontiguousarray(np.asarray(inputs, dtype=np.float32))
-        if array.ndim == 3:
-            array = array[np.newaxis]
-            squeeze = True
-        elif array.ndim == 4:
-            squeeze = False
-        else:
-            raise ValueError(
-                f"expected a (C, H, W) sample or (n, C, H, W) small batch, "
-                f"got shape {array.shape}"
-            )
-        if array.shape[0] == 0:
-            raise ValueError("cannot submit an empty request")
-        if array.shape[0] > self.max_batch_size:
-            raise ValueError(
-                f"request of {array.shape[0]} samples exceeds max_batch_size="
-                f"{self.max_batch_size}; use InferenceEngine.predict_logits "
-                f"for large offline batches"
-            )
-        now = time.monotonic()
-        request = Request(
-            inputs=array,
-            future=Future(),
-            squeeze=squeeze,
-            enqueue_time=now,
-            request_id=next(self._request_ids),
-            deadline=None if deadline_s is None else now + deadline_s,
-            priority=int(priority),
-            trace=TraceContext(trace_id, started=now) if self.trace_enabled else None,
-        )
-        lane.note_admitted()
-        try:
-            lane.queue.put(request, block=block, timeout=timeout)
-        except ServerOverloaded:
-            victim = None
-            try:
-                victim = lane.queue.shed_lower_priority(request)
-            except ServerOverloaded:
-                lane.note_done()
-                lane.metrics.record_rejected()
-                raise
-            except ServerClosed:
-                lane.note_done()
-                raise
-            if victim is not None:
-                self._shed_request(lane, victim)
-        except ServerClosed:
-            lane.note_done()
-            raise
-        lane.metrics.record_admitted(lane.queue.depth)
+        request = self._make_request(inputs, deadline_s, priority, trace_id)
+        self._admit(lane, request, block, timeout)
         return request.future
 
     def predict(
@@ -444,190 +273,8 @@ class ModelServer:
         return self.predict(model_name, inputs, timeout=timeout).argmax(axis=-1)
 
     # ------------------------------------------------------------------ #
-    # worker loop
-    # ------------------------------------------------------------------ #
-    def _worker_loop(self, lane: _Lane) -> None:
-        while True:
-            batch = lane.batcher.next_batch(timeout=self._POLL_SECONDS)
-            if batch:
-                if self._abort.is_set():
-                    error = ServerClosed("the server stopped before this request was served")
-                    for request in batch:
-                        self._fail_request(lane, request, error)
-                else:
-                    self._serve_batch(lane, batch)
-                continue
-            if lane.queue.closed:
-                break
-
-    def _serve_batch(self, lane: _Lane, batch: List[Request]) -> None:
-        formed = time.monotonic()
-        live: List[Request] = []
-        for request in batch:
-            if request.future.set_running_or_notify_cancel():
-                live.append(request)
-            else:
-                lane.metrics.record_cancelled()
-                lane.note_done()
-        if not live:
-            return
-        # Group by per-sample shape so a malformed request can only fail its
-        # own group — never the well-formed co-batched requests.
-        groups: "OrderedDict[tuple, List[Request]]" = OrderedDict()
-        for request in live:
-            groups.setdefault(request.sample_shape, []).append(request)
-        for requests in groups.values():
-            stacked = (
-                requests[0].inputs
-                if len(requests) == 1
-                else np.concatenate([r.inputs for r in requests], axis=0)
-            )
-            serve_start = time.monotonic()
-            for request in requests:
-                if request.trace is not None:
-                    # queue_wait ends at the batcher's pop; everything from
-                    # there to the engine call is batch formation.
-                    request.trace.advance("queue_wait", request.dequeue_time or formed)
-                    request.trace.advance("batch", serve_start)
-            try:
-                with lane.model_lock:
-                    logits = lane.engine.predict_logits(stacked)
-            except Exception as error:  # noqa: BLE001 - forwarded to futures
-                for request in requests:
-                    self._fail_request(lane, request, error)
-                continue
-            done = time.monotonic()
-            for request in requests:
-                if request.trace is not None:
-                    request.trace.advance("execute", done)
-            lane.metrics.record_batch(int(stacked.shape[0]), done - formed)
-            # Attribute the served requests to the engine path that ran them
-            # (read after the call: the first predict is what traces the
-            # plan or falls back).
-            lane.metrics.record_served_path(
-                len(requests), fallback=lane.engine.uses_fallback
-            )
-            offset = 0
-            for request in requests:
-                rows = logits[offset : offset + request.num_samples]
-                offset += request.num_samples
-                if request.expired(done):
-                    # Expired mid-flight: the caller stopped waiting, so the
-                    # answer is discarded and the typed error is returned.
-                    self._expire_request(lane, request)
-                    continue
-                result = rows[0] if request.squeeze else rows
-                try:
-                    request.future.set_result(np.ascontiguousarray(result))
-                except InvalidStateError:
-                    pass  # cancelled between set_running and completion: impossible, but harmless
-                lane.metrics.record_completion(
-                    latency_seconds=done - request.enqueue_time,
-                    wait_seconds=formed - request.enqueue_time,
-                    samples=request.num_samples,
-                )
-                self._record_span(lane, request, "completed", finished=done)
-                lane.note_done()
-            if lane.health is not None:
-                # Post-completion so health bookkeeping can never delay (or
-                # fail) a caller's future; the served logits are untouched.
-                try:
-                    lane.health.observe_batch(stacked, logits)
-                except Exception:  # noqa: BLE001 - health must never break serving
-                    pass
-            if self._on_batch is not None:
-                self._on_batch(lane.name, requests)
-
-    def _record_span(
-        self, lane: _Lane, request: Request, status: str, finished: Optional[float] = None
-    ) -> None:
-        if request.trace is None:
-            return
-        request.trace.finish(finished)
-        self.spans.record(
-            request.trace.to_span(
-                status=status,
-                model=lane.name,
-                request_id=request.request_id,
-                samples=request.num_samples,
-                priority=request.priority,
-                attempts=request.attempts,
-            )
-        )
-
-    def _fail_request(self, lane: _Lane, request: Request, error: BaseException) -> None:
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(error)
-            except InvalidStateError:
-                pass
-        lane.metrics.record_failed()
-        self._record_span(lane, request, "failed")
-        lane.note_done()
-
-    def _expire_request(self, lane: _Lane, request: Request) -> None:
-        """Fail an expired request with the typed error; counted separately."""
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(
-                    DeadlineExceeded(
-                        f"request {request.request_id} on {lane.name!r} missed its "
-                        f"deadline by {time.monotonic() - (request.deadline or 0.0):.3f}s"
-                    )
-                )
-            except InvalidStateError:
-                pass
-        lane.metrics.record_expired()
-        self.events.emit(
-            "request_expired", model=lane.name, request_id=request.request_id,
-            priority=request.priority,
-        )
-        self._record_span(lane, request, "expired")
-        lane.note_done()
-
-    def _shed_request(self, lane: _Lane, request: Request) -> None:
-        """Fail a shed victim: a higher-priority arrival took its queue slot."""
-        if not request.future.cancelled():
-            try:
-                request.future.set_exception(
-                    ServerOverloaded(
-                        f"request {request.request_id} on {lane.name!r} was shed "
-                        f"for a higher-priority request"
-                    )
-                )
-            except InvalidStateError:
-                pass
-        lane.metrics.record_shed()
-        self.events.emit(
-            "request_shed", model=lane.name, request_id=request.request_id,
-            priority=request.priority,
-        )
-        self._record_span(lane, request, "shed")
-        lane.note_done()
-
-    # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #
-    def telemetry_targets(self) -> List[Dict[str, object]]:
-        """Label/metrics pairs for the Prometheus exporter: one per lane.
-
-        Each target is ``{"labels": {"model": name}, "metrics": the lane's
-        live ServerMetrics, "queue_depth": current depth}`` — the contract
-        :func:`repro.obs.collect_families` consumes.
-        """
-        with self._lock:
-            lanes = dict(self._lanes)
-        return [
-            {
-                "labels": {"model": name},
-                "metrics": lane.metrics,
-                "queue_depth": lane.queue.depth,
-                "health": lane.health,
-                "health_labels": {"model": name},
-            }
-            for name, lane in lanes.items()
-        ]
-
     def enable_model_health(
         self,
         model_name: Optional[str] = None,
@@ -657,22 +304,12 @@ class ModelServer:
         objects up through :meth:`telemetry_targets`.
         """
         if shadow_sample_every is None:
-            try:
-                shadow_sample_every = int(
-                    os.environ.get("REPRO_SHADOW_SAMPLE_EVERY", "16")
-                )
-            except ValueError:
-                shadow_sample_every = 16
-        with self._lock:
-            lanes = (
-                {model_name: self._lane(model_name)}
-                if model_name is not None
-                else dict(self._lanes)
-            )
+            shadow_sample_every = shadow_sample_every_default()
+        lanes = [self._lane(model_name)] if model_name is not None else self.lanes()
         built: Dict[str, ModelHealth] = {}
-        for name, lane in lanes.items():
+        for lane in lanes:
             tap = QuantHealthTap(sample_every=tap_sample_every, seed=seed)
-            lane.engine.enable_health_tap(tap)
+            lane.entry.engine.enable_health_tap(tap)
             shadow = None
             if shadow_sample_every > 0:
                 shadow = ShadowExecutor(
@@ -681,14 +318,14 @@ class ModelServer:
                     seed=seed,
                 )
             lane.health = ModelHealth(
-                name,
+                lane.name,
                 quant=tap,
                 shadow=shadow,
                 drift=DriftDetector(
                     reference_size=drift_reference_size, window=drift_window
                 ),
             )
-            built[name] = lane.health
+            built[lane.name] = lane.health
         if model_name is not None:
             return built[model_name]
         return built
@@ -703,7 +340,7 @@ class ModelServer:
         """
 
         def reference(batch: np.ndarray) -> np.ndarray:
-            engine = lane.engine
+            engine = lane.entry.engine
             with lane.model_lock, no_grad():
                 was_training = engine.model.training
                 engine.model.eval()
@@ -719,29 +356,22 @@ class ModelServer:
         if model_name is not None:
             lane = self._lane(model_name)
             return lane.metrics.snapshot(queue_depth=lane.queue.depth)
-        with self._lock:  # live registration mutates _lanes concurrently
-            lanes = dict(self._lanes)
+        lanes = self.lanes()
         models = {
-            name: lane.metrics.snapshot(queue_depth=lane.queue.depth)
-            for name, lane in lanes.items()
+            lane.name: lane.metrics.snapshot(queue_depth=lane.queue.depth)
+            for lane in lanes
         }
         # One locked counters() read per lane: each lane's contribution to
         # the totals is internally consistent (no torn reads between the
         # per-field sums while workers are recording).
-        counters = [lane.metrics.counters() for lane in lanes.values()]
+        counters = [lane.metrics.counters() for lane in lanes]
         totals = {
-            "requests_admitted": sum(c["admitted"] for c in counters),
-            "requests_completed": sum(c["completed"] for c in counters),
-            "requests_failed": sum(c["failed"] for c in counters),
-            "requests_rejected": sum(c["rejected"] for c in counters),
-            "requests_expired": sum(c["expired"] for c in counters),
-            "requests_shed": sum(c["shed"] for c in counters),
-            "requests_retried": sum(c["retried"] for c in counters),
-            "requests_compiled": sum(c["served_compiled"] for c in counters),
-            "requests_fallback": sum(c["served_fallback"] for c in counters),
-            "samples_completed": sum(c["samples"] for c in counters),
-            "batches_served": sum(c["batches"] for c in counters),
+            f"requests_{kind}": sum(c[kind] for c in counters) for kind in REQUEST_KINDS
         }
+        totals["requests_compiled"] = sum(c["served_compiled"] for c in counters)
+        totals["requests_fallback"] = sum(c["served_fallback"] for c in counters)
+        totals["samples_completed"] = sum(c["samples"] for c in counters)
+        totals["batches_served"] = sum(c["batches"] for c in counters)
         return {
             "server": {
                 "running": self.running,

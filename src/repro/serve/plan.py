@@ -64,6 +64,7 @@ wrong numbers.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -1183,17 +1184,15 @@ class InferencePlan:
         self._workspace: Optional[PlanWorkspace] = PlanWorkspace() if optimized else None
         for index, step in enumerate(self.steps):
             step.key = f"s{index}"
-        # Opt-in per-step profiling.  The flag gates run() into a mirror loop
-        # (_run_profiled) so the production path pays nothing — not even a
-        # branch per step.  Accumulators are index-aligned with self.steps;
-        # runs of one plan are serialised by the engine's lock, so plain
-        # floats suffice.
+        # Opt-in step observers: per-step profiling and a quantization-health
+        # tap (repro.obs.health.QuantHealthTap).  When either is active,
+        # run() takes its instrumented loop; otherwise the plain loop pays
+        # nothing, not even a branch per step.  Profile accumulators are
+        # index-aligned with self.steps; runs of one plan are serialised by
+        # the engine's lock, so plain floats suffice.
         self.profile = False
         self._profile_calls = [0] * len(self.steps)
         self._profile_total_s = [0.0] * len(self.steps)
-        # Opt-in quantization-health tap (repro.obs.health.QuantHealthTap).
-        # Same mirror-loop discipline as profiling: when set, run() routes to
-        # _run_tapped and the production loop stays branch-free per step.
         self._health_tap = None
 
     @property
@@ -1713,24 +1712,32 @@ class InferencePlan:
         must be in eval mode (the engine guarantees this; call
         ``model.eval()`` first when running a plan directly).
         """
-        if self.profile:
-            return self._run_profiled(x, workspace)
-        if self._health_tap is not None:
-            return self._run_tapped(x, workspace)
+        observers = self._observers()
         backend = get_backend()
         ws = workspace if workspace is not None else self._workspace
         state: Dict[str, np.ndarray] = {}
         with no_grad():
-            if ws is None:
+            if ws is not None:
+                ws.begin_run()
+            if not observers:
                 for step in self.steps:
-                    x = step.run(x, backend, state)
-                return x
-            ws.begin_run()
-            for step in self.steps:
-                x = step.run(x, backend, state, ws)
+                    x = step.run(x, backend, state, ws)
+            else:
+                # The one instrumented loop: every active observer sees each
+                # step's index, the step, its input and output, and its
+                # wall time.  Observers only read, so the values computed
+                # are bitwise-identical to the plain loop's.
+                clock = time.perf_counter
+                for index, step in enumerate(self.steps):
+                    start = clock()
+                    out = step.run(x, backend, state, ws)
+                    elapsed = clock() - start
+                    for observe in observers:
+                        observe(index, step, x, out, elapsed)
+                    x = out
         # Multi-output plans end in an _OutputsStep whose dict entries are
-        # already copied out of the arena.
-        if isinstance(x, dict):
+        # already copied out of the arena; reference plans own no arena.
+        if ws is None or isinstance(x, dict):
             return x
         # Detach from the arena: the next run overwrites every buffer.  This
         # copy is the one intentional per-run allocation, and it is excluded
@@ -1738,73 +1745,33 @@ class InferencePlan:
         # caller-owned by contract.
         return np.array(x)
 
-    def _run_profiled(
-        self, x: np.ndarray, workspace: Optional[PlanWorkspace] = None
-    ) -> np.ndarray:
-        """run() with a perf_counter around every step.
+    def _observers(self) -> list:
+        """The step observers active for this run (empty: the plain loop).
 
-        A separate mirror of the hot loop rather than an inline branch: the
-        unprofiled path must stay exactly as tight as before the profiler
-        existed.  Timings accumulate across runs until :meth:`reset_profile`.
+        Profiling times every run.  A health tap decides per run whether to
+        sample (:meth:`QuantHealthTap.begin_run`); unsampled runs leave it
+        out.  The two compose: with both on, both record.
         """
-        import time as _time
-
-        backend = get_backend()
-        ws = workspace if workspace is not None else self._workspace
-        state: Dict[str, np.ndarray] = {}
-        calls = self._profile_calls
-        totals = self._profile_total_s
-        clock = _time.perf_counter
-        with no_grad():
-            if ws is not None:
-                ws.begin_run()
-            for index, step in enumerate(self.steps):
-                start = clock()
-                x = step.run(x, backend, state, ws)
-                totals[index] += clock() - start
-                calls[index] += 1
-        if isinstance(x, dict):
-            return x
-        return np.array(x) if ws is not None else x
-
-    def _run_tapped(
-        self, x: np.ndarray, workspace: Optional[PlanWorkspace] = None
-    ) -> np.ndarray:
-        """run() with a quantization-health tap observing each step's output.
-
-        A mirror of the hot loop, like :meth:`_run_profiled`: the untapped
-        path must not pay even a branch per step.  The tap decides per run
-        whether to sample; unsampled runs execute the plain loop.  Observing
-        happens strictly after each step completes, reading (never writing)
-        the step's input and output buffers, so the served values are
-        bitwise-identical to an untapped run.
-        """
+        observers = []
+        if self.profile:
+            observers.append(self._profile_step)
         tap = self._health_tap
-        sampled = tap.begin_run()
-        backend = get_backend()
-        ws = workspace if workspace is not None else self._workspace
-        state: Dict[str, np.ndarray] = {}
-        with no_grad():
-            if ws is not None:
-                ws.begin_run()
-            if not sampled:
-                for step in self.steps:
-                    x = step.run(x, backend, state, ws)
-            else:
-                for step in self.steps:
-                    x_in = x
-                    x = step.run(x_in, backend, state, ws)
-                    tap.observe(step, x_in, x)
-        if isinstance(x, dict):
-            return x
-        return np.array(x) if ws is not None else x
+        if tap is not None and tap.begin_run():
+            observers.append(
+                lambda index, step, x_in, out, elapsed: tap.observe(step, x_in, out)
+            )
+        return observers
+
+    def _profile_step(self, index: int, step, x_in, out, elapsed: float) -> None:
+        self._profile_total_s[index] += elapsed
+        self._profile_calls[index] += 1
 
     def set_health_tap(self, tap) -> None:
         """Attach (or with ``None`` detach) a quantization-health tap.
 
         ``tap`` duck-types :class:`repro.obs.health.QuantHealthTap`
         (``begin_run()`` / ``observe(step, inputs, out)``).  While attached,
-        run() dispatches to the tapped mirror loop; outputs are unchanged.
+        sampled runs take the instrumented loop; outputs are unchanged.
         """
         self._health_tap = tap
 

@@ -209,6 +209,28 @@ class TestEngineTapIntegration:
         # Integer mode: at least one GEMM step reports accumulator headroom.
         assert any(l["headroom_bits"] is not None for l in snap["layers"])
 
+    def test_profiling_and_tap_both_record_when_both_are_on(self, rng):
+        model, shape = random_quantized_model(seed=3)
+        x = rng.standard_normal((4, *shape)).astype(np.float32)
+        want = InferenceEngine(model, mode="integer").predict_logits(x)
+
+        engine = InferenceEngine(model, mode="integer")
+        engine.enable_step_profiling()
+        tap = QuantHealthTap(sample_every=1)
+        engine.enable_health_tap(tap)
+        got = [engine.predict_logits(x) for _ in range(2)]
+
+        want_map = want if isinstance(want, dict) else {"": want}
+        for out in got:
+            got_map = out if isinstance(out, dict) else {"": out}
+            for slot in want_map:
+                np.testing.assert_array_equal(got_map[slot], want_map[slot])
+        timings = engine.plan_report()["step_timings"]
+        assert timings and all(entry["calls"] == 2 for entry in timings)
+        snap = tap.snapshot()
+        assert snap["sampled_runs"] == 2
+        assert snap["layers"], "the tap observed nothing under profiling"
+
     def test_detaching_the_tap_restores_the_plain_loop(self, rng):
         model, shape = random_quantized_model(seed=4)
         x = rng.standard_normal((2, *shape)).astype(np.float32)

@@ -30,6 +30,7 @@ from repro.serve.cluster import (
     decide,
     spawn_worker,
 )
+from repro.serve.cluster import router
 from repro.utils import save_quantized_checkpoint
 
 from .cluster_models import build_parity_model, build_slow_fallback
@@ -277,6 +278,69 @@ class TestClusterResilience:
                 timeout=30.0,
             )
             np.testing.assert_array_equal(cluster.predict("m", sample, timeout=60), first)
+
+    def test_one_death_costs_one_restart_even_with_a_slow_respawn(self, monkeypatch):
+        # A respawn (boot, checkpoint load, warmup) takes far longer than a
+        # monitor tick.  The monitor must not flag the dead handle again
+        # mid-respawn, or the dispatcher kills the worker it just booted.
+        monitor_s = 0.05
+        monkeypatch.setattr(ClusterServer, "_MONITOR_SECONDS", monitor_s)
+        spawned = []
+
+        class FakeHandle:
+            uses_fallback = False
+
+            def __init__(self):
+                self.pid = 1000 + len(spawned)
+                self.alive = True
+
+            def is_alive(self):
+                return self.alive
+
+            def kill(self):
+                self.alive = False
+
+            def shutdown(self, timeout=None):
+                self.alive = False
+
+        def slow_spawn(options, start_method="spawn", boot_timeout=120.0):
+            if spawned:  # boots after the first take several monitor ticks
+                time.sleep(6 * monitor_s)
+            spawned.append(FakeHandle())
+            return spawned[-1]
+
+        monkeypatch.setattr(router, "spawn_worker", slow_spawn)
+        with ClusterServer(max_restarts=10) as cluster:
+            cluster.register("m", "unused.npz", shards=1)
+            restarts = lambda: cluster.metrics("m")["shards"]["m[0]"]["restarts"]  # noqa: E731
+            for death in (1, 2):
+                spawned[-1].kill()
+                assert _wait_until(lambda: restarts() >= death, timeout=10.0)
+                time.sleep(12 * monitor_s)  # room for a spurious second restart
+                assert restarts() == death
+                assert len(spawned) == death + 1
+                assert spawned[-1].is_alive()
+            assert cluster.healthy("m")
+            assert [e["restarts"] for e in cluster.events.events(kind="worker_restart")] == [1, 2]
+
+
+class TestRequestIds:
+    def test_two_shard_spans_have_unique_request_ids(self, parity_checkpoint):
+        rng = np.random.default_rng(8)
+        with ClusterServer(max_batch_size=4, max_delay_ms=1.0) as cluster:
+            cluster.register("m", parity_checkpoint, shards=2)
+            futures = [
+                cluster.submit("m", rng.standard_normal(PARITY_SHAPE).astype(np.float32))
+                for _ in range(24)
+            ]
+            for future in futures:
+                future.result(timeout=60)
+            assert cluster.drain(timeout=60)
+            spans = cluster.spans.spans()
+        assert {span["shard"] for span in spans} == {0, 1}
+        ids = [span["request_id"] for span in spans]
+        # One server-wide counter: unique across shards, no gaps.
+        assert sorted(ids) == list(range(1, 25))
 
 
 # --------------------------------------------------------------------------- #
