@@ -445,12 +445,11 @@ class InferenceEngine:
         * the backend's channel-major threshold is calibrated (see
           :meth:`~repro.backend.fast_numpy.FastNumpyBackend.calibrate_cm_max_positions`;
           a ``REPRO_CM_MAX_POSITIONS`` env pin skips measurement);
-        * the kernel route is applied from ``REPRO_KERNEL_ROUTE`` —
-          ``"gemm"`` (default), ``"lut"``, or ``"measure"`` to time both
-          routes per fused step on this machine and keep the winners;
-        * the plan's workspace arena is primed with one run at the engine's
-          batch size, so steady-state ``predict`` starts at zero
-          allocations from the very first request.
+        * the plan's workspace arena is primed with one run of
+          ``min(batch_size, 64)`` rows, so steady-state ``predict`` on
+          batches up to that size starts at zero allocations from the very
+          first request.  A larger batch (``batch_size`` above 64, e.g. the
+          default 256) allocates its buffers on its first run.
         """
         if input_shape is None:
             hint = getattr(self.model, "example_input_shape", None)
@@ -474,20 +473,11 @@ class InferenceEngine:
                 self._ensure_plan((1, *tuple(input_shape)))
                 if self._plan is not None:
                     self._refresh_plan(force=False)
+                    # Prime the arena; the probe is capped at 64 rows to
+                    # bound warmup memory.
                     probe = np.zeros(
                         (min(self.batch_size, 64), *tuple(input_shape)), dtype=np.float32
                     )
-                    route = os.environ.get("REPRO_KERNEL_ROUTE", "gemm").strip().lower()
-                    if route == "measure":
-                        self._plan.calibrate_routes(probe)
-                    elif route in ("gemm", "lut"):
-                        self._plan.set_kernel_route(route)
-                    else:
-                        raise ValueError(
-                            f"unknown REPRO_KERNEL_ROUTE {route!r}; "
-                            "use 'gemm', 'lut' or 'measure'"
-                        )
-                    # Prime the arena for the serving batch shape.
                     self._plan.run(probe)
         finally:
             self.model.train(was_training)
@@ -533,7 +523,7 @@ class InferenceEngine:
             ),
             "plan": plan_desc,
             # Per-step timings when profiling is on (None otherwise): one
-            # entry per plan step with kind, kernel route, calls, total/mean
+            # entry per plan step with kind, calls, total/mean
             # milliseconds and share of profiled time.
             "step_timings": (
                 self._plan.step_timings()

@@ -680,19 +680,11 @@ class _FusedConvStep(_Step):
     pure-kernel crossover (``cm_kernel_max_positions``), where N per-sample
     products beat one wide GEMM.
 
-    Two interchangeable kernel routes, selected by :attr:`route`:
-
-    * ``"gemm"`` (default) — one float32 GEMM over the effective weight
-      matrix.  In float mode the folded BN gain is multiplied straight into
-      the GEMM operand (a fresh array — never in-place, the unfolded matrix
-      is a view of the layer's cached quantized weights), so the hot path
-      skips the per-channel scale pass entirely.
-    * ``"lut"`` — codebook accumulation over the packed integer codes via
-      :meth:`~repro.backend.ArrayBackend.lut_conv2d_cm`.  The per-channel
-      codebook carries the *combined* scale (quantizer scale x folded BN
-      gain), which is the identical effective weight in both plan modes, so
-      the route needs no separate scale pass either.  The LUT kernel is
-      channel-major only, so batch-major steps always serve the GEMM route.
+    Both layouts run float32 GEMM over the effective weight matrix.  In
+    float mode the folded BN gain is multiplied straight into the GEMM
+    operand (a fresh array — never in-place, the unfolded matrix is a view
+    of the layer's cached quantized weights), so the hot path skips the
+    per-channel scale pass entirely.
     """
 
     def __init__(
@@ -708,7 +700,6 @@ class _FusedConvStep(_Step):
         self.act = act
         self.mode = mode
         self.channel_major = channel_major
-        self.route = "gemm"
         self.kernel = conv.kernel_size
         stride = conv.stride
         padding = conv.padding
@@ -717,15 +708,12 @@ class _FusedConvStep(_Step):
         self._w_mat: Optional[np.ndarray] = None
         self._scale = None
         self._bias = None
-        self._packed = None
-        self._codebook = None
         self._relu = False
         self._alpha = None
         self._step = None
 
     def refresh(self) -> None:
         conv = self.conv
-        info = None
         if isinstance(conv, QuantizedLayer):
             _, info = conv.quantized_weight()
             if self.mode == "integer":
@@ -738,7 +726,6 @@ class _FusedConvStep(_Step):
         self._w_mat = w_mat if w_mat.dtype == np.float32 else w_mat.astype(np.float32)
 
         bias = None if conv.bias is None else conv.bias.data
-        g = None
         if self.bn is not None:
             bn = self.bn
             g = bn.weight.data / np.sqrt(bn.running_var + bn.eps)
@@ -759,17 +746,6 @@ class _FusedConvStep(_Step):
         else:
             self._scale = scale
             self._bias = bias
-
-        self._packed = None
-        self._codebook = None
-        if info is not None:
-            packed = conv.packed_weight()
-            if packed is not None:
-                cb_scale = float(info.scale) if g is None else info.scale * g
-                self._packed = packed
-                self._codebook = packed.codebook(cb_scale)
-        if self._packed is None:
-            self.route = "gemm"
         self._relu, self._alpha, self._step = _resolve_activation(self.act)
 
     def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
@@ -777,11 +753,6 @@ class _FusedConvStep(_Step):
             out = backend.int_conv2d(
                 x, self._w_mat, self.kernel, self.stride, self.padding,
                 scale=self._scale, bias=self._bias, workspace=ws, key=self.key,
-            )
-        elif self.route == "lut" and self._packed is not None:
-            out = backend.lut_conv2d_cm(
-                x, self._packed, self._codebook, self.kernel, self.stride, self.padding,
-                bias=self._bias, workspace=ws, key=self.key,
             )
         else:
             out = backend.int_conv2d_cm(
@@ -792,30 +763,21 @@ class _FusedConvStep(_Step):
 
 
 class _FusedLinearStep(_Step):
-    """Linear layer + fused PACT/ReLU on (N, features) activations.
-
-    Carries the same ``"gemm"``/``"lut"`` route pair as the fused conv step;
-    the LUT codebook bakes in the quantizer scale, which is the effective
-    weight in both plan modes.
-    """
+    """Linear layer + fused PACT/ReLU on (N, features) activations."""
 
     def __init__(self, layer, act: Optional[Module], mode: str) -> None:
         self.layer = layer
         self.act = act
         self.mode = mode
-        self.route = "gemm"
         self._w: Optional[np.ndarray] = None
         self._scale = None
         self._bias = None
-        self._packed = None
-        self._codebook = None
         self._relu = False
         self._alpha = None
         self._step = None
 
     def refresh(self) -> None:
         layer = self.layer
-        info = None
         if isinstance(layer, QuantizedLayer):
             _, info = layer.quantized_weight()
             if self.mode == "integer":
@@ -827,26 +789,12 @@ class _FusedLinearStep(_Step):
         self._w = w if w.dtype == np.float32 else w.astype(np.float32)
         self._scale = scale
         self._bias = None if layer.bias is None else layer.bias.data
-        self._packed = None
-        self._codebook = None
-        if info is not None:
-            packed = layer.packed_weight()
-            if packed is not None:
-                self._packed = packed
-                self._codebook = packed.codebook(float(info.scale))
-        if self._packed is None:
-            self.route = "gemm"
         self._relu, self._alpha, self._step = _resolve_activation(self.act)
 
     def run(self, x: np.ndarray, backend, state, ws=None) -> np.ndarray:
-        if self.route == "lut" and self._packed is not None:
-            out = backend.lut_linear(
-                x, self._packed, self._codebook, bias=self._bias, workspace=ws, key=self.key
-            )
-        else:
-            out = backend.int_linear(
-                x, self._w, scale=self._scale, bias=self._bias, workspace=ws, key=self.key
-            )
+        out = backend.int_linear(
+            x, self._w, scale=self._scale, bias=self._bias, workspace=ws, key=self.key
+        )
         return _apply_activation_inplace(out, self._relu, self._alpha, self._step)
 
 
@@ -1787,9 +1735,8 @@ class InferencePlan:
     def step_timings(self) -> List[Dict[str, object]]:
         """Accumulated per-step timings, one entry per plan step in order.
 
-        Each entry carries the step's key/kind, the kernel route it is
-        currently serving (``None`` for route-less steps), how many profiled
-        runs touched it, total/mean milliseconds, and its share of the total
+        Each entry carries the step's key/kind, how many profiled runs
+        touched it, total/mean milliseconds, and its share of the total
         profiled time.  Empty accumulators yield zeros, not NaNs.
         """
         grand_total = sum(self._profile_total_s)
@@ -1801,7 +1748,6 @@ class InferencePlan:
                 {
                     "key": step.key,
                     "kind": type(step).__name__.lstrip("_"),
-                    "route": getattr(step, "route", None),
                     "calls": calls,
                     "total_ms": round(total_s * 1e3, 4),
                     "mean_ms": round(total_s * 1e3 / calls, 4) if calls else 0.0,
@@ -1810,84 +1756,17 @@ class InferencePlan:
             )
         return report
 
-    def set_kernel_route(self, route: str) -> None:
-        """Force every codebook-capable step onto ``"gemm"`` or ``"lut"``.
-
-        Steps without packed codes (float layers, bits > 8) always stay on
-        the GEMM route, as do batch-major conv steps — the LUT kernel is
-        channel-major only.
-        """
-        if route not in ("gemm", "lut"):
-            raise ValueError(f"unknown kernel route {route!r}")
-        for step in self.steps:
-            if hasattr(step, "route"):
-                if route == "lut" and (
-                    getattr(step, "_packed", None) is None
-                    or not getattr(step, "channel_major", True)
-                ):
-                    step.route = "gemm"
-                else:
-                    step.route = route
-
-    def calibrate_routes(self, probe: np.ndarray, repeats: int = 3) -> Dict[str, str]:
-        """Measure gemm vs LUT per fused step on ``probe`` and keep the winner.
-
-        Walks the plan once; at each step that has both routes, times each
-        (best of ``repeats`` after a warm call — conv/linear steps do not
-        touch the branch state, so re-running them is side-effect free) and
-        locks in the faster one.  Returns ``{step_key: route}`` for the
-        steps that were measured.  Call after :meth:`refresh`, typically via
-        ``InferenceEngine.warmup()`` with ``REPRO_KERNEL_ROUTE=measure``.
-        """
-        import time
-
-        backend = get_backend()
-        ws = self._workspace
-        chosen: Dict[str, str] = {}
-        state: Dict[str, np.ndarray] = {}
-        x = probe
-        with no_grad():
-            if ws is not None:
-                ws.begin_run()
-            for step in self.steps:
-                if (
-                    getattr(step, "route", None) is None
-                    or getattr(step, "_packed", None) is None
-                    or not getattr(step, "channel_major", True)
-                ):
-                    x = step.run(x, backend, state, ws)
-                    continue
-                timings = {}
-                for route in ("gemm", "lut"):
-                    step.route = route
-                    step.run(x, backend, state, ws)  # warm: allocs + cache
-                    best = float("inf")
-                    for _ in range(repeats):
-                        start = time.perf_counter()
-                        step.run(x, backend, state, ws)
-                        best = min(best, time.perf_counter() - start)
-                    timings[route] = best
-                step.route = "gemm" if timings["gemm"] <= timings["lut"] else "lut"
-                chosen[step.key] = step.route
-                x = step.run(x, backend, state, ws)
-        return chosen
-
     def describe(self) -> Dict[str, object]:
         """A JSON-friendly structural summary (what compiled, and how)."""
         kinds: Dict[str, int] = {}
-        routes: Dict[str, int] = {}
         for step in self.steps:
             name = type(step).__name__.lstrip("_")
             kinds[name] = kinds.get(name, 0) + 1
-            route = getattr(step, "route", None)
-            if route is not None:
-                routes[route] = routes.get(route, 0) + 1
         out: Dict[str, object] = {
             "mode": self.mode,
             "optimized": self.optimized,
             "num_steps": len(self.steps),
             "step_kinds": kinds,
-            "kernel_routes": routes,
             **self.meta,
         }
         if self._workspace is not None:
